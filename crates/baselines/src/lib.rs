@@ -30,6 +30,7 @@
 
 mod dftl;
 mod sftl;
+mod table;
 
 pub use dftl::{Dftl, ENTRY_BYTES};
 pub use sftl::{sftl_full_table_bytes, Sftl, RUN_BYTES};

@@ -72,6 +72,44 @@ fn bench_schemes(c: &mut Criterion) {
     group.finish();
 }
 
+/// SFTL single-pair rewrites into translation pages mapped to `fill` of
+/// their 512 entries on consecutive PPAs (one run each before the churn
+/// starts splitting them). Run counts are kept incrementally, so the
+/// per-rewrite cost must stay flat as the pages fill; a walk of the
+/// page per update would grow with it.
+fn bench_sftl_churn(c: &mut Criterion) {
+    const PAGES: u64 = 64;
+    let mut group = c.benchmark_group("sftl_full_page_churn");
+    group.throughput(Throughput::Elements(1));
+    for fill in [64u64, 256, 512] {
+        let mut sftl = Sftl::new();
+        sftl.set_memory_budget(usize::MAX >> 1);
+        for page in 0..PAGES {
+            let base = page * 512;
+            let pairs: Vec<(Lpa, Ppa)> = (base..base + fill)
+                .map(|lpa| (Lpa::new(lpa), Ppa::new(lpa)))
+                .collect();
+            sftl.update_batch(&pairs);
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        let rewrites: Vec<(Lpa, Ppa)> = (0..4096u64)
+            .map(|i| {
+                let lpa = rng.gen_range(0..PAGES) * 512 + rng.gen_range(0..fill);
+                (Lpa::new(lpa), Ppa::new((1 << 30) + i))
+            })
+            .collect();
+        let mut idx = 0usize;
+        group.bench_function(BenchmarkId::new("rewrite1", format!("fill{fill}")), |b| {
+            b.iter(|| {
+                let pair = rewrites[idx % rewrites.len()];
+                idx += 1;
+                black_box(sftl.update_batch(black_box(&[pair])))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The flush path drains the write buffer LPA-sorted and deduplicated;
 /// `learn_sorted` skips the defensive clone + re-sort `learn` pays.
 /// This measures the delta on that exact batch shape.
@@ -102,5 +140,5 @@ fn bench_learn_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_schemes, bench_learn_paths);
+criterion_group!(benches, bench_schemes, bench_sftl_churn, bench_learn_paths);
 criterion_main!(benches);

@@ -15,12 +15,18 @@
 //! the table's exact per-group footprints over the resident groups
 //! (no drift after learns grow a resident group or compaction shrinks
 //! one).
+//!
+//! The same contract holds for SFTL's per-translation-page run counts:
+//! each equals a walk of the page's entries after every operation, so
+//! the condensed sizes charged on every lookup and update are exact.
 
+use leaftl_repro::baselines::{sftl_full_table_bytes, Sftl, RUN_BYTES};
 use leaftl_repro::core::{LeaFtlConfig, MappingScheme, ShardedMapping};
 use leaftl_repro::flash::{Lpa, Ppa};
 use leaftl_repro::sim::LeaFtlScheme;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// LPA space: 32 groups, so every shard count under test owns several.
 const SPACE: u64 = 8192;
@@ -40,6 +46,9 @@ enum Op {
     Maintain,
     /// Unconditional per-shard compaction sweep (`maintain_shard`).
     Compact,
+    /// Unsorted batch through `update_batch` that keeps revisiting a
+    /// `span`-wide window, so it is laden with duplicate LPAs.
+    Churn { lpa: u64, len: u64, span: u64 },
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -54,31 +63,43 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply(scheme: &mut ShardedMapping<LeaFtlScheme>, op: Op, next_ppa: &mut u64) {
+/// SFTL's mix: the LeaFTL ops plus duplicate-laden churn.
+fn sftl_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => op(),
+        1 => (0u64..SPACE, 1u64..300, 1u64..40)
+            .prop_map(|(lpa, len, span)| Op::Churn { lpa, len, span }),
+    ]
+}
+
+/// The LPAs one op writes, in batch order.
+fn written_lpas(op: Op) -> Vec<u64> {
     match op {
-        Op::Learn { lpa, len, stride } => {
-            let batch: Vec<(Lpa, Ppa)> = (0..len)
-                .map(|j| {
-                    let pair = (Lpa::new((lpa + j * stride) % SPACE), Ppa::new(*next_ppa));
-                    *next_ppa += 1;
-                    pair
-                })
-                .collect();
-            scheme.update_batch(&batch);
+        Op::Learn { lpa, len, stride } => (0..len).map(|j| (lpa + j * stride) % SPACE).collect(),
+        Op::LearnSorted { lpa, len, stride } => (0..len)
+            .map(|j| lpa + j * stride)
+            .take_while(|&addr| addr < SPACE)
+            .collect(),
+        Op::Churn { lpa, len, span } => (0..len).map(|j| (lpa + j * 7 % span) % SPACE).collect(),
+        Op::Lookup { .. } | Op::Maintain | Op::Compact => Vec::new(),
+    }
+}
+
+fn apply<S: MappingScheme>(scheme: &mut S, op: Op, next_ppa: &mut u64) {
+    let mut batch = |lpas: Vec<u64>| -> Vec<(Lpa, Ppa)> {
+        lpas.into_iter()
+            .map(|lpa| {
+                *next_ppa += 1;
+                (Lpa::new(lpa), Ppa::new(*next_ppa - 1))
+            })
+            .collect()
+    };
+    match op {
+        Op::Learn { .. } | Op::Churn { .. } => {
+            scheme.update_batch(&batch(written_lpas(op)));
         }
-        Op::LearnSorted { lpa, len, stride } => {
-            // Strictly increasing LPAs, truncated at the space bound.
-            let batch: Vec<(Lpa, Ppa)> = (0..len)
-                .map_while(|j| {
-                    let addr = lpa + j * stride;
-                    (addr < SPACE).then(|| {
-                        let pair = (Lpa::new(addr), Ppa::new(*next_ppa));
-                        *next_ppa += 1;
-                        pair
-                    })
-                })
-                .collect();
-            scheme.update_batch_sorted(&batch);
+        Op::LearnSorted { .. } => {
+            scheme.update_batch_sorted(&batch(written_lpas(op)));
         }
         Op::Lookup { lpa } => {
             scheme.lookup(Lpa::new(lpa));
@@ -87,7 +108,9 @@ fn apply(scheme: &mut ShardedMapping<LeaFtlScheme>, op: Op, next_ppa: &mut u64) 
             scheme.maintain();
         }
         Op::Compact => {
-            scheme.compact_all();
+            for shard in 0..scheme.shard_count() {
+                scheme.maintain_shard(shard);
+            }
         }
     }
 }
@@ -136,6 +159,53 @@ fn check_shard(index: usize, shard: &LeaFtlScheme) -> Result<(), TestCaseError> 
         index
     );
     Ok(())
+}
+
+/// Asserts SFTL's incremental run counts, full-table size, residency
+/// bytes and mapped count against walks of its translation pages.
+fn check_sftl(sftl: &Sftl, written: &BTreeSet<u64>) -> Result<(), TestCaseError> {
+    let walk_bytes = |page: u64| sftl.recount_runs_walk(page).max(1) * RUN_BYTES;
+    for page in 0..sftl.translation_pages() {
+        prop_assert_eq!(
+            sftl.run_count(page),
+            sftl.recount_runs_walk(page),
+            "page {}: run count diverged from walk",
+            page
+        );
+    }
+    let full: usize = (0..sftl.translation_pages()).map(walk_bytes).sum();
+    prop_assert_eq!(sftl_full_table_bytes(sftl), full);
+    let resident: usize = sftl.resident_pages().map(walk_bytes).sum();
+    prop_assert_eq!(
+        sftl.resident_bytes(),
+        resident,
+        "residency accounting drifted from walked page sizes"
+    );
+    prop_assert_eq!(sftl.mapped_pages(), written.len());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// SFTL's run counts equal the 512-entry walk after every
+    /// operation, with the DRAM budget tight (a few descriptors),
+    /// medium, or unbounded.
+    #[test]
+    fn sftl_run_counts_equal_walk(
+        ops in vec(sftl_op(), 1..40),
+        budget in prop_oneof![Just(usize::MAX), Just(1024usize), Just(64usize)],
+    ) {
+        let mut sftl = Sftl::new();
+        sftl.set_memory_budget(budget);
+        let mut written = BTreeSet::new();
+        let mut next_ppa = 100_000u64;
+        for &o in &ops {
+            written.extend(written_lpas(o));
+            apply(&mut sftl, o, &mut next_ppa);
+            check_sftl(&sftl, &written)?;
+        }
+    }
 }
 
 proptest! {

@@ -2,13 +2,13 @@
 //! an in-memory shadow map predicts, under arbitrary mixed workloads
 //! with GC pressure and compaction — for every error bound γ.
 
-use leaftl_repro::baselines::{Dftl, Sftl};
+use leaftl_repro::baselines::{Dftl, Sftl, ENTRY_BYTES};
 use leaftl_repro::core::LeaFtlConfig;
-use leaftl_repro::flash::Lpa;
-use leaftl_repro::sim::{ExactPageMap, LeaFtlScheme, MappingScheme, Ssd, SsdConfig};
+use leaftl_repro::flash::{Lpa, Ppa};
+use leaftl_repro::sim::{ExactPageMap, LeaFtlScheme, MapCost, MappingScheme, Ssd, SsdConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Drives a random mixed workload and checks every read against a
 /// shadow map. Overwrite-heavy enough to force GC several times.
@@ -141,4 +141,92 @@ fn unsorted_flush_ablation_still_correct() {
     let scheme = LeaFtlScheme::new(LeaFtlConfig::default());
     let mut ssd = Ssd::new(config, scheme);
     differential_run(&mut ssd, 808, 1000);
+}
+
+/// Drives a bare `Dftl` with unsorted, duplicate-laden batches, sorted
+/// batches and lookups under a CMT of `cmt_entries` entries. After every
+/// operation it checks lookups, `mapped_pages`, `full_table_bytes` and
+/// the CMT + GTD footprint against a `BTreeMap` model. Returns the summed
+/// translation cost.
+fn dftl_against_model(seed: u64, cmt_entries: usize, ops: usize) -> MapCost {
+    /// Eight translation pages of LPAs.
+    const SPACE: u64 = 4096;
+    let mut dftl = Dftl::new();
+    dftl.set_memory_budget(cmt_entries * ENTRY_BYTES);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut total = MapCost::FREE;
+    let mut next_ppa = 0u64;
+    for i in 0..ops {
+        let style: f64 = rng.gen();
+        if style < 0.3 {
+            // Random LPAs within a window: unsorted, with duplicates.
+            let start = rng.gen_range(0..SPACE);
+            let window = rng.gen_range(1..200u64);
+            let len = rng.gen_range(1..64usize);
+            let batch: Vec<(Lpa, Ppa)> = (0..len)
+                .map(|_| {
+                    next_ppa += 1;
+                    let lpa = (start + rng.gen_range(0..window)) % SPACE;
+                    (Lpa::new(lpa), Ppa::new(next_ppa))
+                })
+                .collect();
+            for &(lpa, ppa) in &batch {
+                model.insert(lpa.raw(), ppa.raw());
+            }
+            total.add(dftl.update_batch(&batch));
+        } else if style < 0.5 {
+            // Flush-shaped: strictly increasing LPAs.
+            let start = rng.gen_range(0..SPACE);
+            let stride = rng.gen_range(1..4u64);
+            let batch: Vec<(Lpa, Ppa)> = (0..rng.gen_range(1..64u64))
+                .map(|j| start + j * stride)
+                .take_while(|&lpa| lpa < SPACE)
+                .map(|lpa| {
+                    next_ppa += 1;
+                    (Lpa::new(lpa), Ppa::new(next_ppa))
+                })
+                .collect();
+            for &(lpa, ppa) in &batch {
+                model.insert(lpa.raw(), ppa.raw());
+            }
+            total.add(dftl.update_batch_sorted(&batch));
+        } else {
+            // Past SPACE the table has never grown: always unmapped.
+            let lpa = rng.gen_range(0..SPACE + 512);
+            let (hit, cost) = dftl.lookup(Lpa::new(lpa));
+            total.add(cost);
+            let expected = model.get(&lpa).copied();
+            assert_eq!(hit.map(|h| h.ppa.raw()), expected, "op {i}: lpa {lpa}");
+        }
+        assert_eq!(dftl.mapped_pages(), model.len(), "op {i}");
+        assert_eq!(dftl.full_table_bytes(), model.len() * ENTRY_BYTES, "op {i}");
+        let gtd_pages = model.keys().next_back().map_or(0, |&max| max / 512 + 1);
+        assert_eq!(
+            dftl.memory_bytes(),
+            dftl.cached_entries() * ENTRY_BYTES + gtd_pages as usize * 8,
+            "op {i}"
+        );
+    }
+    total
+}
+
+/// `(translation_reads, translation_writes)` of seed 2023 with a
+/// 37-entry CMT over 3000 operations.
+const PINNED_DFTL_COST: (u32, u32) = (40936, 39750);
+
+#[test]
+fn dftl_table_matches_btree_model() {
+    for seed in 0..8 {
+        for cmt_entries in [1, 37, 512, usize::MAX / ENTRY_BYTES] {
+            dftl_against_model(seed, cmt_entries, 600);
+        }
+    }
+    // The cached mapping table's behaviour is pinned: these totals were
+    // produced by the HashMap-backed table this dense one replaced.
+    let cost = dftl_against_model(2023, 37, 3000);
+    assert_eq!(
+        (cost.translation_reads, cost.translation_writes),
+        PINNED_DFTL_COST
+    );
 }
