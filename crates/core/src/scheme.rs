@@ -135,6 +135,14 @@ pub trait MappingScheme {
         false
     }
 
+    /// The error bound γ of approximate translations: a prediction may
+    /// land up to γ pages from the true PPA, and the device verifies it
+    /// against the `2γ+1` reverse mappings stored in each page's OOB.
+    /// 0 (the default) for exact schemes.
+    fn error_bound(&self) -> u32 {
+        0
+    }
+
     /// Bytes of controller DRAM the scheme currently occupies.
     fn memory_bytes(&self) -> usize;
 

@@ -77,11 +77,11 @@
 use crate::arbiter::{Arbiter, ArbiterView, QueueView, RoundRobin, Source};
 use crate::config::{CompactionMode, GcMode};
 use crate::error::SimError;
-use crate::mapping::MappingScheme;
 use crate::qos::{QosController, QosSpec, QosTick, SloClass};
 use crate::request::{Command, IoCompletion, IoRequest};
 use crate::ssd::Ssd;
 use crate::trace::ArgValue;
+use leaftl_core::MappingScheme;
 use leaftl_flash::{BlockId, Lpa};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -334,7 +334,7 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// threshold configs (a threshold at or below a shard's live
     /// segment population) from re-compacting a shard on every flush
     /// that only touched its neighbours.
-    compact_stamp: Vec<Option<crate::mapping::ShardPressure>>,
+    compact_stamp: Vec<Option<leaftl_core::ShardPressure>>,
     /// Program stamp of the last pressure scan (scan skipped while it
     /// is unchanged).
     compact_scan_stamp: Option<u64>,
@@ -1393,7 +1393,7 @@ mod tests {
     use super::*;
     use crate::arbiter::{HostPriority, Weighted};
     use crate::config::SsdConfig;
-    use crate::mapping::ExactPageMap;
+    use leaftl_core::ExactPageMap;
     use leaftl_flash::Lpa;
 
     fn ssd() -> Ssd<ExactPageMap> {

@@ -18,8 +18,9 @@
 //! proptests).
 
 use crate::lru::LruCache;
-use crate::mapping::{MapCost, MappingLookup, MappingScheme, ShardPressure};
-use leaftl_core::{LeaFtlConfig, LeaFtlTable, TableStats};
+use leaftl_core::{
+    LeaFtlConfig, LeaFtlTable, MapCost, MappingLookup, MappingScheme, ShardPressure, TableStats,
+};
 use leaftl_flash::{Lpa, Ppa};
 
 /// Base CPU cost of one compaction sweep (setup + re-layering), on top
@@ -267,6 +268,10 @@ impl MappingScheme for LeaFtlScheme {
         // optimises for (the learned table fits in a fraction of the
         // DFTL-sized budget).
         self.table.memory_bytes().total() <= self.budget
+    }
+
+    fn error_bound(&self) -> u32 {
+        self.table.config().gamma
     }
 
     fn learn_cost_ns(&self, batch_len: usize) -> u64 {

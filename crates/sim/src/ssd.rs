@@ -7,11 +7,11 @@ use crate::clock::SimClock;
 use crate::config::{CheckpointMode, CompactionMode, GcMode, GcPolicy, SsdConfig};
 use crate::error::SimError;
 use crate::lru::LruCache;
-use crate::mapping::{MapCost, MappingLookup, MappingScheme, ShardPressure};
 use crate::stats::SimStats;
 use crate::trace::{FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
 use crate::translog::{LogOp, LogPayload, TransLog};
 use crate::validity::Validity;
+use leaftl_core::{MapCost, MappingLookup, MappingScheme, ShardPressure};
 use leaftl_flash::{BlockId, Die, FlashDevice, Lpa, Ppa};
 use std::collections::{HashMap, HashSet};
 
@@ -170,9 +170,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// # Panics
     ///
     /// Panics when the configuration is inconsistent
-    /// (see [`SsdConfig::validate`]).
+    /// (see [`SsdConfig::validate`]), or when the scheme's error bound
+    /// ([`MappingScheme::error_bound`]) exceeds what the OOB can verify.
     pub fn new(config: SsdConfig, mut scheme: S) -> Self {
         config.validate();
+        assert!(
+            scheme.error_bound() <= config.geometry.max_gamma(),
+            "scheme gamma {} exceeds what the {}-byte OOB can verify (max {})",
+            scheme.error_bound(),
+            config.geometry.oob_size,
+            config.geometry.max_gamma()
+        );
         scheme.set_memory_budget(config.mapping_budget());
         let pristine_scheme = scheme.clone();
         let shard_count = scheme.shard_count().max(1);
@@ -401,44 +409,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Die::new((tpage % self.config.geometry.total_dies() as u64) as u32)
     }
 
-    /// Charges translation I/O with the host blocked on the reads
-    /// (legacy blocking call sites: flush-side maintenance).
-    fn charge_map_cost(&mut self, lpa: Lpa, cost: MapCost) {
-        let now = self.clock.now_ns();
-        let ready = self.charge_map_cost_at_class(lpa, cost, now, TrafficClass::Compact);
-        self.clock.wait_until(ready);
-    }
-
-    /// Translation I/O issued from the asynchronous flush path: it
-    /// occupies dies (delaying future reads) without blocking the host
-    /// directly. `class` attributes the die time to whoever triggered
-    /// the mapping update (host flush, GC re-learning, compaction).
-    fn charge_map_cost_background(&mut self, lpa: Lpa, cost: MapCost, class: TrafficClass) {
-        if cost.translation_reads == 0 && cost.translation_writes == 0 {
-            return;
-        }
-        let die = self.translation_die(lpa);
-        for _ in 0..cost.translation_reads {
-            let end = self.clock.schedule(die, self.config.timing.read_ns);
-            self.stats.flash.translation_reads += 1;
-            self.note_flash_op(class, FlashOpKind::Read, die, end);
-        }
-        for _ in 0..cost.translation_writes {
-            let end = self.clock.schedule(die, self.config.timing.program_ns);
-            self.stats.flash.translation_programs += 1;
-            self.note_flash_op(class, FlashOpKind::Program, die, end);
-        }
-    }
-
-    /// Charges translation I/O on one request's dependency chain:
-    /// reads serialise after `ready_ns` (the request waits on them),
-    /// write-backs are fired asynchronously at the same floor. Returns
-    /// the request's new ready time. The global clock does not move.
-    fn charge_map_cost_at(&mut self, lpa: Lpa, cost: MapCost, ready_ns: u64) -> u64 {
-        self.charge_map_cost_at_class(lpa, cost, ready_ns, TrafficClass::Host)
-    }
-
-    fn charge_map_cost_at_class(
+    /// Charges translation I/O on a dependency chain starting at
+    /// `ready_ns`: reads serialise after it (whoever waits on the
+    /// translation waits on them), write-backs are fired asynchronously
+    /// at the same floor. `class` attributes the die time to whoever
+    /// triggered the I/O (host lookup or flush, GC re-learning,
+    /// compaction). Returns the new ready time; the global clock does
+    /// not move.
+    fn charge_map_cost(
         &mut self,
         lpa: Lpa,
         cost: MapCost,
@@ -637,7 +615,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             if let ReadOutcome::Unmapped { lpa, cost } | ReadOutcome::Flash { lpa, cost, .. } =
                 outcome
             {
-                ready[index] = self.charge_map_cost_at(*lpa, *cost, started);
+                ready[index] = self.charge_map_cost(*lpa, *cost, started, TrafficClass::Host);
             }
         }
         // Out-of-order stage: grant shard CPUs in map-ready order (ties
@@ -707,7 +685,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             Some(looked) => looked,
             None => self.scheme.lookup(lpa),
         };
-        let mut ready = self.charge_map_cost_at(lpa, cost, started);
+        let mut ready = self.charge_map_cost(lpa, cost, started, TrafficClass::Host);
         let Some(hit) = hit else {
             self.stats.unmapped_reads += 1;
             self.stats.read_latency.record(ready - started);
@@ -1014,7 +992,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // leaves the learned table alone.
         if self.compaction_mode == CompactionMode::Inline {
             let (cost, compacted) = self.scheme.maintain();
-            self.charge_map_cost(Lpa::new(0), cost);
+            // Flush-side maintenance blocks the host on its reads.
+            let ready = self.charge_map_cost(
+                Lpa::new(0),
+                cost,
+                self.clock.now_ns(),
+                TrafficClass::Compact,
+            );
+            self.clock.wait_until(ready);
             if compacted {
                 self.stats.compactions += 1;
             }
@@ -1042,7 +1027,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     fn invalidate_via_lookup(&mut self, batch: &[(Lpa, Ppa)]) -> Result<(), SimError> {
         for &(lpa, _) in batch {
             let (hit, cost) = self.scheme.lookup(lpa);
-            self.charge_map_cost_background(lpa, cost, TrafficClass::Host);
+            self.charge_map_cost(lpa, cost, self.clock.now_ns(), TrafficClass::Host);
             if let Some(hit) = hit {
                 let old = self.resolve_for_invalidation(lpa, &hit)?;
                 self.validity.invalidate(old);
@@ -1066,7 +1051,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         } else {
             self.scheme.update_batch(batch)
         };
-        self.charge_map_cost_background(batch[0].0, cost, class);
+        self.charge_map_cost(batch[0].0, cost, self.clock.now_ns(), class);
         let learn_ns = self.scheme.learn_cost_ns(batch.len());
         self.stats.learn_cpu_ns += learn_ns;
         for &(_, ppa) in batch {
@@ -1378,7 +1363,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let shard = shard.min(self.clock.cpus() - 1);
         let sweep_ns = self.scheme.compact_cost_ns(shard);
         let (cost, compacted) = self.scheme.maintain_shard(shard);
-        self.charge_map_cost_background(Lpa::new(0), cost, TrafficClass::Compact);
+        self.charge_map_cost(
+            Lpa::new(0),
+            cost,
+            self.clock.now_ns(),
+            TrafficClass::Compact,
+        );
         if compacted {
             self.stats.compactions += 1;
         }
@@ -2076,10 +2066,41 @@ pub(crate) struct MapLogDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::ExactPageMap;
+    use leaftl_core::ExactPageMap;
 
     fn ssd() -> Ssd<ExactPageMap> {
         Ssd::new(SsdConfig::small_test(), ExactPageMap::new())
+    }
+
+    #[test]
+    #[should_panic(expected = "scheme gamma 64 exceeds")]
+    fn new_rejects_scheme_gamma_beyond_oob() {
+        // `config.gamma` stays 0, so only the scheme's own γ can trip
+        // the check: a γ=64 table cannot be verified by a 2γ+1-entry
+        // OOB window of the 128-byte OOB.
+        let scheme = crate::LeaFtlScheme::new(leaftl_core::LeaFtlConfig::default().with_gamma(64));
+        Ssd::new(SsdConfig::small_test(), scheme);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheme gamma 64 exceeds")]
+    fn new_rejects_sharded_scheme_gamma_beyond_oob() {
+        let config = SsdConfig::small_test();
+        let scheme = leaftl_core::ShardedMapping::new(4, config.logical_pages(), |_| {
+            crate::LeaFtlScheme::new(leaftl_core::LeaFtlConfig::default().with_gamma(64))
+        });
+        Ssd::new(config, scheme);
+    }
+
+    #[test]
+    fn new_accepts_scheme_gamma_within_a_larger_oob() {
+        let mut config = SsdConfig::small_test();
+        config.geometry.oob_size = 1024;
+        let scheme = crate::LeaFtlScheme::new(leaftl_core::LeaFtlConfig::default().with_gamma(64));
+        let mut ssd = Ssd::new(config, scheme);
+        ssd.write(Lpa::new(1), 11).unwrap();
+        ssd.flush().unwrap();
+        assert_eq!(ssd.read(Lpa::new(1)).unwrap(), Some(11));
     }
 
     #[test]

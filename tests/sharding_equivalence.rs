@@ -21,7 +21,7 @@
 //! background-compaction device run end with identical flash digests
 //! and identical reads.
 
-use leaftl_repro::core::{LeaFtlConfig, MappingScheme, ShardedMapping, PARALLEL_BATCH_MIN};
+use leaftl_repro::core::{LeaFtlConfig, MappingScheme, ShardedMapping};
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};
 use leaftl_repro::sim::{Device, DeviceConfig, LeaFtlScheme, QosSpec, Slo, Ssd, SsdConfig};
 use proptest::collection::vec;
@@ -171,57 +171,49 @@ proptest! {
         }
     }
 
-    /// The persistent worker pool is bit-identical to the sequential
-    /// fan-out: same results *and* same post-state (memory, residency,
-    /// follow-up translations), for bursts straddling the dispatch
-    /// threshold, at every shard count, resident or demand-paged.
-    /// Within a shard both paths translate the same subsequence in the
-    /// same order, so even LRU touches and evictions must agree.
+    /// Sharded `lookup_batch` is bit-identical to pointwise `lookup`
+    /// in caller order: same results *and* same post-state (memory,
+    /// per-shard residency, follow-up translations), at every shard
+    /// count and burst length, resident or demand-paged. The fan-out
+    /// hands each shard its addresses in caller order, so even LRU
+    /// touches and evictions must agree.
     #[test]
-    fn pooled_fanout_is_bit_identical_to_sequential(
+    fn batch_fanout_is_bit_identical_to_pointwise(
         ops in vec(op(), 1..30),
         shards in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
         gamma in 0u32..5,
-        burst_len in prop_oneof![
-            Just(1usize),
-            Just(PARALLEL_BATCH_MIN - 1),
-            Just(PARALLEL_BATCH_MIN),
-            Just(PARALLEL_BATCH_MIN + 1),
-            Just(4 * PARALLEL_BATCH_MIN),
-        ],
+        burst_len in prop_oneof![Just(1usize), Just(255), Just(256), Just(257), Just(1024)],
         budget in prop_oneof![Just(usize::MAX), Just(4096usize), Just(512usize)],
     ) {
-        let mut pooled = sharded(shards, gamma);
-        let mut sequential = sharded(shards, gamma);
-        pooled.set_memory_budget(budget);
-        sequential.set_memory_budget(budget);
+        let mut batched = sharded(shards, gamma);
+        let mut pointwise = sharded(shards, gamma);
+        batched.set_memory_budget(budget);
+        pointwise.set_memory_budget(budget);
         let mut ppa_a = 10_000u64;
         let mut ppa_b = 10_000u64;
         for &o in &ops {
-            apply(&mut pooled, o, &mut ppa_a);
-            apply(&mut sequential, o, &mut ppa_b);
+            apply(&mut batched, o, &mut ppa_a);
+            apply(&mut pointwise, o, &mut ppa_b);
         }
         let burst: Vec<Lpa> = (0..burst_len as u64)
             .map(|i| Lpa::new((i * 37) % SPACE))
             .collect();
-        prop_assert_eq!(
-            pooled.lookup_batch_pooled(&burst),
-            sequential.lookup_batch_sequential(&burst)
-        );
+        let one_by_one: Vec<_> = burst.iter().map(|&lpa| pointwise.lookup(lpa)).collect();
+        prop_assert_eq!(batched.lookup_batch(&burst), one_by_one);
         // Post-state: byte-identical memory and per-shard residency,
         // and a probe sweep that mutates both LRUs in lockstep.
-        prop_assert_eq!(pooled.memory_bytes(), sequential.memory_bytes());
-        for (index, (pa, sa)) in pooled.shards().zip(sequential.shards()).enumerate() {
+        prop_assert_eq!(batched.memory_bytes(), pointwise.memory_bytes());
+        for (index, (b, p)) in batched.shards().zip(pointwise.shards()).enumerate() {
             prop_assert_eq!(
-                pa.resident_bytes(),
-                sa.resident_bytes(),
+                b.resident_bytes(),
+                p.resident_bytes(),
                 "shard {} residency diverged", index
             );
         }
         for lpa in (0..SPACE).step_by(11) {
             prop_assert_eq!(
-                pooled.lookup(Lpa::new(lpa)),
-                sequential.lookup(Lpa::new(lpa)),
+                batched.lookup(Lpa::new(lpa)),
+                pointwise.lookup(Lpa::new(lpa)),
                 "post-burst probe {} diverged", lpa
             );
         }
