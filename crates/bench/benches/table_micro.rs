@@ -17,6 +17,13 @@
 //! * **paged** — budget below the footprint: every lookup pays the
 //!   LRU residency check with the exact per-group byte charge. Cost is
 //!   per-group work (hash + list splice), still flat in group count.
+//!
+//! A third group guards the incremental compaction sweep:
+//!
+//! * **sweep** — one 128-page scattered flush over 32 groups, then
+//!   `compact()`. The sweep visits only the groups learned into since
+//!   the last one, so its cost follows the 32 dirtied groups and must
+//!   stay flat in table size (a full sweep would grow 64×).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::LeaFtlConfig;
@@ -106,5 +113,69 @@ fn bench_lookup_paged(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lookup_resident, bench_lookup_paged);
+/// Groups one scattered sweep flush touches, whatever the table size.
+const SWEEP_GROUPS: usize = 32;
+/// Pages per sweep flush: one 128-page write buffer.
+const SWEEP_PAGES: usize = 128;
+
+/// Sorted 128-page flushes, each scattered over `SWEEP_GROUPS`
+/// distinct groups, with fresh increasing PPAs per flush.
+fn scattered_flushes(groups: u64, count: usize) -> Vec<Vec<(Lpa, Ppa)>> {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut next_ppa = groups * 256 * 8;
+    (0..count)
+        .map(|_| {
+            let mut ids: Vec<u64> = Vec::with_capacity(SWEEP_GROUPS);
+            while ids.len() < SWEEP_GROUPS {
+                let id = rng.gen_range(0..groups);
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+            }
+            let mut lpas: Vec<u64> = ids
+                .iter()
+                .flat_map(|&id| (0..SWEEP_PAGES / SWEEP_GROUPS).map(move |_| id * 256))
+                .map(|base| base + rng.gen_range(0u64..256))
+                .collect();
+            lpas.sort_unstable();
+            lpas.dedup();
+            lpas.into_iter()
+                .map(|lpa| {
+                    next_ppa += 1;
+                    (Lpa::new(lpa), Ppa::new(next_ppa))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// One scattered flush + the incremental sweep it triggers.
+fn bench_sweep_after_flush(c: &mut Criterion) {
+    let mut group = c.benchmark_group("table_sweep_after_flush");
+    group.throughput(Throughput::Elements(SWEEP_PAGES as u64));
+    for &groups in &GROUP_COUNTS {
+        // The `warmed` table, compacted once so the measured sweeps
+        // start clean.
+        let mut table = warmed(groups).table().clone();
+        table.compact();
+        let flushes = scattered_flushes(groups, 64);
+        let mut next = 0usize;
+        group.bench_function(BenchmarkId::from_parameter(groups), |b| {
+            b.iter(|| {
+                table.learn_sorted(black_box(&flushes[next % flushes.len()]));
+                next += 1;
+                table.compact();
+                black_box(table.segment_count())
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_lookup_resident,
+    bench_lookup_paged,
+    bench_sweep_after_flush
+);
 criterion_main!(benches);

@@ -17,6 +17,16 @@
 //!   are re-layered newest-first into the fewest levels the freshness
 //!   invariant allows.
 //!
+//! # Dirty groups
+//!
+//! `compact` is idempotent: on a group it already compacted it trims
+//! nothing and re-layers every segment into the level it holds. Only
+//! `insert_piece` can undo that, so the table sweeps just the groups it
+//! learned into since the previous sweep (the *dirty* groups) and
+//! skips the rest. Any new mutation path must mark its group dirty the
+//! same way; `LeaFtlTable::validate` reports a clean group that
+//! `compact` would still change.
+//!
 //! # Freshness invariant
 //!
 //! Segments are only inserted *above* everything they overlap, and a
@@ -57,8 +67,37 @@ impl OffsetSet {
         set
     }
 
+    /// The offsets an accurate segment claims: its stride grid over
+    /// `[start, end]`, or just `start` for a single point — the set
+    /// [`Segment::accurate_members`] enumerates, built without
+    /// allocating.
+    fn accurate_grid(segment: &Segment) -> Self {
+        let mut set = OffsetSet::default();
+        match segment.stride() {
+            None => set.insert(segment.start()),
+            Some(1) => set.insert_range(segment.start(), segment.end()),
+            Some(stride) => {
+                for x in (segment.start() as u32..=segment.end() as u32).step_by(stride as usize) {
+                    set.insert(x as u8);
+                }
+            }
+        }
+        set
+    }
+
     fn insert(&mut self, offset: u8) {
         self.0[(offset >> 6) as usize] |= 1u64 << (offset & 63);
+    }
+
+    /// Inserts every offset in `[lo, hi]`.
+    fn insert_range(&mut self, lo: u8, hi: u8) {
+        for (idx, word) in self.0.iter_mut().enumerate() {
+            let base = idx as u32 * 64;
+            let (lo, hi) = ((lo as u32).max(base), (hi as u32).min(base + 63));
+            if lo <= hi {
+                *word |= (u64::MAX >> (63 - (hi - base))) & (u64::MAX << (lo - base));
+            }
+        }
     }
 
     fn contains(&self, offset: u8) -> bool {
@@ -70,19 +109,36 @@ impl OffsetSet {
             *a |= b;
         }
     }
-}
 
-/// Outcome of merging one victim against newer members (Algorithm 2).
-enum MergeOutcome {
-    /// The victim has no members left and was unlinked from the CRB.
-    Removed,
-    /// The victim keeps members; its interval must shrink to
-    /// `[new_start, new_start + new_len]`.
-    Kept { new_start: u8, new_len: u8 },
+    /// The offsets in `self` but not in `other`.
+    fn difference(&self, other: &OffsetSet) -> Self {
+        let mut out = *self;
+        for (a, b) in out.0.iter_mut().zip(other.0.iter()) {
+            *a &= !b;
+        }
+        out
+    }
+
+    /// The smallest and largest offset, or `None` for the empty set.
+    fn bounds(&self) -> Option<(u8, u8)> {
+        let first = self
+            .0
+            .iter()
+            .enumerate()
+            .find(|(_, &word)| word != 0)
+            .map(|(idx, word)| idx as u32 * 64 + word.trailing_zeros())?;
+        let last = self
+            .0
+            .iter()
+            .enumerate()
+            .rfind(|(_, &word)| word != 0)
+            .map(|(idx, word)| idx as u32 * 64 + 63 - word.leading_zeros())?;
+        Some((first as u8, last as u8))
+    }
 }
 
 /// The per-group learned mapping structure.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Group {
     levels: Vec<Level>,
     crb: Crb,
@@ -157,17 +213,6 @@ impl Group {
         }
     }
 
-    fn claimed_members(&self, segment: &Segment) -> Vec<u8> {
-        if segment.is_accurate() {
-            segment.accurate_members()
-        } else {
-            self.crb
-                .members_of(segment.start())
-                .map(|m| m.to_vec())
-                .unwrap_or_default()
-        }
-    }
-
     /// Inserts a freshly learned piece (Algorithm 1, `seg_update` at
     /// level 0). For approximate pieces the member run is registered in
     /// the CRB first, deduplicating members from older runs.
@@ -234,14 +279,14 @@ impl Group {
         let mut popped = Vec::new();
         for idx in victim_range.rev() {
             let victim = *self.levels[level_idx].segment(idx);
-            match self.merge_victim(&victim, members) {
-                MergeOutcome::Removed => {
+            match self.merge_victim(&victim, members).bounds() {
+                None => {
                     self.levels[level_idx].remove(idx);
                     self.segment_total -= 1;
                 }
-                MergeOutcome::Kept { new_start, new_len } => {
+                Some((new_start, new_end)) => {
                     let stored = self.levels[level_idx].segment_mut(idx);
-                    stored.set_interval(new_start, new_len);
+                    stored.set_interval(new_start, new_end - new_start);
                     if segment.overlaps(stored) {
                         // Popped victims re-enter via `place_below`:
                         // net zero for the segment counter.
@@ -260,30 +305,32 @@ impl Group {
     }
 
     /// Algorithm 2 `seg_merge`: subtract the newer member bitmap from
-    /// the victim's claimed members; shrink or remove the victim. The
-    /// victim's `K` and `I` are never touched — translation is
-    /// independent of the interval.
-    fn merge_victim(&mut self, victim: &Segment, newer: &OffsetSet) -> MergeOutcome {
-        let members = self.claimed_members(victim);
+    /// the victim's claimed members and return what the victim keeps
+    /// (empty: the victim must be removed; otherwise its interval must
+    /// shrink to the kept set's bounds). The victim's `K` and `I` are
+    /// never touched — translation is independent of the interval.
+    ///
+    /// Accurate victims are pure bitmap arithmetic on the stride grid.
+    /// Approximate victims trim their CRB run to the kept members, or
+    /// drop it when none are left.
+    fn merge_victim(&mut self, victim: &Segment, newer: &OffsetSet) -> OffsetSet {
+        if victim.is_accurate() {
+            return OffsetSet::accurate_grid(victim).difference(newer);
+        }
+        let members = self.crb.members_of(victim.start()).unwrap_or_default();
+        let claimed = members.len();
         let remaining: Vec<u8> = members
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&m| !newer.contains(m))
             .collect();
+        let kept = OffsetSet::from_members(&remaining);
         if remaining.is_empty() {
-            if victim.is_approximate() {
-                self.crb.remove_run(victim.start());
-            }
-            return MergeOutcome::Removed;
-        }
-        let new_start = remaining[0];
-        let new_end = *remaining.last().expect("non-empty");
-        if victim.is_approximate() {
+            self.crb.remove_run(victim.start());
+        } else if remaining.len() < claimed {
             self.crb.replace_run(victim.start(), remaining);
         }
-        MergeOutcome::Kept {
-            new_start,
-            new_len: new_end - new_start,
-        }
+        kept
     }
 
     /// Places a popped victim below `level_idx - 1`: into the level at
@@ -349,29 +396,31 @@ impl Group {
         let mut kept = Vec::new();
         for level in &old_levels {
             for segment in level.iter() {
-                match self.merge_victim(segment, &cumulative) {
-                    MergeOutcome::Removed => {}
-                    MergeOutcome::Kept { new_start, new_len } => {
-                        let mut trimmed = *segment;
-                        trimmed.set_interval(new_start, new_len);
-                        cumulative
-                            .union_with(&OffsetSet::from_members(&self.claimed_members(&trimmed)));
-                        kept.push(trimmed);
-                    }
+                let members = self.merge_victim(segment, &cumulative);
+                if let Some((new_start, new_end)) = members.bounds() {
+                    let mut trimmed = *segment;
+                    trimmed.set_interval(new_start, new_end - new_start);
+                    // The trimmed segment's claims are `members` plus
+                    // grid points inside its bounds that are already in
+                    // `cumulative`, so this union is the same.
+                    cumulative.union_with(&members);
+                    kept.push(trimmed);
                 }
             }
         }
         self.segment_total = kept.len();
+        // Each segment must sit strictly below every (fresher) segment
+        // already placed that it overlaps, i.e. just past the last
+        // overlapping level. `top[x]` is one past the deepest level
+        // holding a placed segment that covers offset `x`; intervals
+        // overlap iff they share an offset, so that level is the
+        // maximum of `top` over the segment's interval.
+        let mut top = [0u16; 256];
         for segment in kept {
-            // Must sit strictly below every (fresher) segment already
-            // placed that it overlaps, i.e. just past the last
-            // overlapping level.
-            let mut floor = 0;
-            for (idx, level) in self.levels.iter().enumerate() {
-                if level.has_overlap(&segment) {
-                    floor = idx + 1;
-                }
-            }
+            let span = &mut top[segment.start() as usize..=segment.end() as usize];
+            let floor = span.iter().copied().fold(0, u16::max);
+            span.fill(floor + 1);
+            let floor = floor as usize;
             if floor < self.levels.len() {
                 self.levels[floor].insert(segment);
             } else {
@@ -680,6 +729,36 @@ mod tests {
                 "offset {x}"
             );
         }
+    }
+
+    #[test]
+    fn offset_masks_match_enumerated_members() {
+        for stride in 1..=5usize {
+            for (first, last) in [(0u8, 255u8), (3, 70), (60, 130), (200, 254), (9, 9)] {
+                let offsets: Vec<u8> = (first..=last).step_by(stride).collect();
+                for piece in learn(&offsets, 7000, 0) {
+                    let segment = piece.segment;
+                    let members = segment.accurate_members();
+                    let grid = OffsetSet::accurate_grid(&segment);
+                    assert_eq!(grid, OffsetSet::from_members(&members), "{segment}");
+                    assert_eq!(
+                        grid.bounds(),
+                        Some((members[0], members[members.len() - 1])),
+                        "{segment}"
+                    );
+                }
+            }
+        }
+        let mut range = OffsetSet::default();
+        range.insert_range(63, 64);
+        assert_eq!(range, OffsetSet::from_members(&[63, 64]));
+        range.insert_range(0, 255);
+        assert_eq!(range.bounds(), Some((0, 255)));
+        assert_eq!(
+            range.difference(&range).bounds(),
+            None,
+            "empty set has no bounds"
+        );
     }
 
     #[test]

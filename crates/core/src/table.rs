@@ -7,7 +7,7 @@ use crate::plr;
 use crate::segment::Segment;
 use crate::stats::{MemoryBreakdown, TableStats};
 use leaftl_flash::{Lpa, Ppa};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Result of a table lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +48,12 @@ pub struct LookupResult {
 pub struct LeaFtlTable {
     config: LeaFtlConfig,
     groups: BTreeMap<u64, Group>,
+    /// Ids of the groups [`LeaFtlTable::learn_sorted`] touched since the
+    /// last [`LeaFtlTable::compact`]. Every other group is already
+    /// compacted, and compacting a compacted group changes nothing, so
+    /// the sweep visits only these. Ordered so the sweep is
+    /// deterministic; host bookkeeping, not part of the §3.1 footprint.
+    dirty: BTreeSet<u64>,
     writes_since_compaction: u64,
     total_writes_learned: u64,
     compactions: u64,
@@ -135,6 +141,7 @@ impl LeaFtlTable {
         LeaFtlTable {
             config,
             groups: BTreeMap::new(),
+            dirty: BTreeSet::new(),
             writes_since_compaction: 0,
             total_writes_learned: 0,
             compactions: 0,
@@ -223,6 +230,7 @@ impl LeaFtlTable {
             }
             let after = Accounting::snapshot(group);
             self.accounting.apply(before, after);
+            self.dirty.insert(group_id);
             start = end;
         }
     }
@@ -281,20 +289,32 @@ impl LeaFtlTable {
             .collect()
     }
 
-    /// Compacts every group (Algorithm 1 `seg_compact`), reclaiming
-    /// memory from shadowed segments.
+    /// Compacts the table (Algorithm 1 `seg_compact`), reclaiming memory
+    /// from shadowed segments.
+    ///
+    /// Only the groups learned into since the previous sweep are
+    /// visited: [`Group::compact`] leaves an already-compacted group
+    /// unchanged, and every group mutation goes through
+    /// [`LeaFtlTable::learn_sorted`], which records the group. The
+    /// result equals compacting every group, at a cost that follows the
+    /// groups dirtied rather than the table size.
     pub fn compact(&mut self) {
-        for group in self.groups.values_mut() {
+        for group_id in std::mem::take(&mut self.dirty) {
+            let Some(group) = self.groups.get_mut(&group_id) else {
+                continue;
+            };
             let before = Accounting::snapshot(group);
             group.compact();
             let after = Accounting::snapshot(group);
             // Disjoint field borrow: `accounting` is independent of the
-            // iterated `groups` map.
+            // borrowed `groups` entry.
             self.accounting.apply(before, after);
+            // An emptied group already folded a delta down to (0, 0, 0);
+            // dropping it changes no counter.
+            if group.segment_count() == 0 {
+                self.groups.remove(&group_id);
+            }
         }
-        // Emptied groups already folded a delta down to (0, 0, 0);
-        // dropping them changes no counter.
-        self.groups.retain(|_, group| group.segment_count() > 0);
         self.writes_since_compaction = 0;
         self.compactions += 1;
     }
@@ -439,6 +459,12 @@ impl LeaFtlTable {
         self.groups.iter().map(|(&id, group)| (id, group))
     }
 
+    /// Whether `group` was learned into since the last sweep, i.e. the
+    /// next [`LeaFtlTable::compact`] will visit it.
+    pub(crate) fn is_dirty(&self, group: u64) -> bool {
+        self.dirty.contains(&group)
+    }
+
     /// Iterates every segment with its group id and level, for
     /// serialization (crash-recovery snapshots) and debugging.
     pub fn iter_segments(&self) -> impl Iterator<Item = (u64, usize, &Segment)> {
@@ -530,6 +556,100 @@ mod tests {
         for i in 0..256u64 {
             assert_eq!(table.lookup(Lpa::new(i)).unwrap().ppa.raw(), 10_000 + i);
         }
+    }
+
+    /// A table with several groups holding shadowed, strided and
+    /// approximate segments: every sweep has real work.
+    fn churned(gamma: u32) -> LeaFtlTable {
+        let mut table = LeaFtlTable::new(LeaFtlConfig::default().with_gamma(gamma));
+        table.learn(&batch(0, 1000, 1024));
+        let mut ppa = 10_000u64;
+        for round in 0..8u64 {
+            let stride = 1 + round % 3;
+            let pairs: Vec<(Lpa, Ppa)> = (0..40)
+                .map(|i| (Lpa::new(round * 97 + i * stride), Ppa::new(ppa + i)))
+                .collect();
+            ppa += 100;
+            table.learn(&pairs);
+        }
+        table
+    }
+
+    #[test]
+    fn second_compact_is_a_no_op() {
+        for gamma in [0, 4] {
+            let mut table = churned(gamma);
+            table.compact();
+            let first: Vec<_> = table.iter_segments().map(|(g, l, s)| (g, l, *s)).collect();
+            table.compact();
+            let second: Vec<_> = table.iter_segments().map(|(g, l, s)| (g, l, *s)).collect();
+            assert_eq!(first, second, "gamma {gamma}");
+            assert_eq!(table.compactions(), 2);
+            table.assert_valid();
+        }
+    }
+
+    #[test]
+    fn sweep_leaves_untouched_groups_bit_identical() {
+        let mut table = churned(4);
+        table.compact();
+        let before: BTreeMap<u64, Group> = table.groups.clone();
+        // Overwrite part of group 2 only.
+        table.learn(&batch(2 * 256 + 10, 50_000, 30));
+        assert!(table.is_dirty(2));
+        assert_eq!(table.dirty.len(), 1);
+        table.compact();
+        assert!(table.dirty.is_empty());
+        for (id, group) in &before {
+            if *id != 2 {
+                assert_eq!(table.groups.get(id), Some(group), "group {id} changed");
+            }
+        }
+        assert_ne!(table.groups.get(&2), before.get(&2));
+    }
+
+    #[test]
+    fn incremental_sweep_equals_full_sweep() {
+        let mut table = churned(4);
+        table.compact();
+        // In groups 1 and 3 a narrow write, then a wide one over it at
+        // the group's edge: the wide one only merges the narrow one, so
+        // the base segment below keeps claims the sweep must trim.
+        for (narrow, wide) in [(258, 256), (1018, 1012)] {
+            table.learn(&batch(narrow, 70_000 + narrow, 2));
+            table.learn(&batch(wide, 80_000 + wide, 12));
+        }
+        let mut full = table.clone();
+        let unswept = table.groups.clone();
+        table.compact();
+        assert_ne!(table.groups, unswept, "the sweep has work to do");
+        for group in full.groups.values_mut() {
+            group.compact();
+        }
+        full.groups.retain(|_, group| group.segment_count() > 0);
+        assert_eq!(table.groups, full.groups);
+    }
+
+    #[test]
+    fn validate_flags_a_clean_group_that_is_not_compacted() {
+        let mut table = churned(0);
+        table.compact();
+        assert!(table.validate().is_empty());
+        // Mutate a group behind the dirty record's back: the sweep would
+        // skip it, and validation must say so.
+        // The second piece lands above the first only, so the older
+        // segment below keeps claims the sweep would trim.
+        let group = table.groups.get_mut(&0).expect("group 0 exists");
+        let narrow = [(5, 90_000), (6, 90_001)];
+        let wide: Vec<(u8, u64)> = (0..=10).map(|x| (x, 91_000 + u64::from(x))).collect();
+        for points in [&narrow[..], &wide] {
+            for piece in plr::fit(points, 0) {
+                group.insert_piece(&piece);
+            }
+        }
+        let violations = table.validate();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].group, 0);
     }
 
     #[test]

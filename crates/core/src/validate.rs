@@ -132,11 +132,29 @@ pub(crate) fn validate_group(group_id: u64, group: &Group) -> Vec<InvariantViola
 impl LeaFtlTable {
     /// Checks every structural invariant of the table, returning all
     /// violations (empty = healthy). Intended for tests and debugging;
-    /// cost is linear in the table size.
+    /// cost is linear in the table size (it compacts a copy of every
+    /// clean group).
+    ///
+    /// Besides each group's own structure, this checks the incremental
+    /// sweep's premise: a group outside the dirty record (not learned
+    /// into since the last [`LeaFtlTable::compact`]) must already be
+    /// compacted, so [`Group::compact`] leaves it unchanged. A mutation
+    /// path that forgets to mark its group shows up here.
     pub fn validate(&self) -> Vec<InvariantViolation> {
         let mut violations = Vec::new();
         for (group_id, group) in self.groups_for_validation() {
             violations.extend(validate_group(group_id, group));
+            if !self.is_dirty(group_id) {
+                let mut swept = group.clone();
+                swept.compact();
+                if swept != *group {
+                    violations.push(InvariantViolation {
+                        group: group_id,
+                        detail: "clean group (not in the dirty record) changes when compacted"
+                            .to_string(),
+                    });
+                }
+            }
         }
         violations
     }

@@ -310,7 +310,9 @@ impl MappingScheme for LeaFtlScheme {
 
     fn compact_cost_ns(&self, _shard: usize) -> u64 {
         // The sweep trims every resident segment against the cumulative
-        // fresher claims; cost scales with the segment population.
+        // fresher claims; cost scales with the segment population. The
+        // host-side sweep visits only dirty groups, but the modelled
+        // firmware cost stays that of the paper's full sweep.
         COMPACT_BASE_NS + COMPACT_PER_SEGMENT_NS * self.table.segment_count() as u64
     }
 }

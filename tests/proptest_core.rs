@@ -6,7 +6,7 @@ use leaftl_repro::core::{plr, LeaFtlConfig, LeaFtlTable, Segment};
 use leaftl_repro::flash::{Lpa, Ppa};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Strategy: a strictly monotonic (offset, ppa) batch within one group,
 /// as produced by a sorted buffer flush.
@@ -25,6 +25,74 @@ fn monotonic_batch() -> impl Strategy<Value = Vec<(u8, u64)>> {
             out
         })
         .prop_filter("non-empty", |b| !b.is_empty())
+}
+
+/// One step of an interleaved table history.
+#[derive(Debug, Clone)]
+enum TableOp {
+    /// `learn` of a batch handed over in reverse LPA order, with one
+    /// stale duplicate that the last-wins dedup must drop.
+    Learn(Vec<(u8, u64)>, u64),
+    /// `learn_sorted` of an LPA-sorted, duplicate-free batch.
+    LearnSorted(Vec<(u8, u64)>, u64),
+    /// An (incremental) compaction sweep.
+    Compact,
+}
+
+fn table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        3 => (monotonic_batch(), 0u64..6).prop_map(|(b, g)| TableOp::Learn(b, g)),
+        3 => (monotonic_batch(), 0u64..6).prop_map(|(b, g)| TableOp::LearnSorted(b, g)),
+        2 => Just(TableOp::Compact),
+    ]
+}
+
+/// Turns a one-group batch into table pairs at `group`, renumbering
+/// PPAs so every batch gets fresh, increasing addresses (allocator
+/// behaviour).
+fn place(batch: &[(u8, u64)], group: u64, ppa_base: &mut u64) -> Vec<(Lpa, Ppa)> {
+    let pairs = batch
+        .iter()
+        .enumerate()
+        .map(|(i, &(x, _))| {
+            (
+                Lpa::new(group * 256 + x as u64),
+                Ppa::new(*ppa_base + i as u64),
+            )
+        })
+        .collect();
+    *ppa_base += batch.len() as u64 + 3;
+    pairs
+}
+
+/// After a sweep: no invariant violation (including the clean-group
+/// rule behind the incremental sweep), every modelled LPA translates
+/// within its bound, nothing unmodelled translates, and the live
+/// counters equal a from-scratch walk.
+fn check_swept(table: &LeaFtlTable, model: &BTreeMap<u64, u64>) -> Result<(), TestCaseError> {
+    let violations = table.validate();
+    prop_assert!(violations.is_empty(), "invariants: {:?}", violations);
+    for (&lpa, &ppa) in model {
+        let hit = table.lookup(Lpa::new(lpa));
+        prop_assert!(hit.is_some(), "lpa {lpa} lost");
+        let hit = hit.expect("checked");
+        if hit.approximate {
+            let err = (hit.ppa.raw() as i64 - ppa as i64).unsigned_abs();
+            prop_assert!(err <= hit.error_bound as u64, "lpa {lpa}: err {err}");
+        } else {
+            prop_assert_eq!(hit.ppa.raw(), ppa, "lpa {} accurate hit", lpa);
+        }
+    }
+    for lpa in 0..6 * 256u64 {
+        if !model.contains_key(&lpa) {
+            prop_assert!(table.lookup(Lpa::new(lpa)).is_none(), "phantom {lpa}");
+        }
+    }
+    let walk = table.recompute_walk();
+    prop_assert_eq!(table.memory_bytes(), walk.memory);
+    prop_assert_eq!(table.segment_count(), walk.segments);
+    prop_assert_eq!(table.max_level_depth(), walk.max_level_depth);
+    Ok(())
 }
 
 proptest! {
@@ -175,5 +243,44 @@ proptest! {
             "segments {} > page-level {page_level}",
             memory.segment_bytes
         );
+    }
+
+    /// Incremental compaction is indistinguishable from a full sweep:
+    /// any interleaving of `learn`, `learn_sorted` and `compact` keeps
+    /// the table valid, model-exact and counter-consistent after every
+    /// sweep.
+    #[test]
+    fn interleaved_learn_and_compact_match_model(
+        ops in vec(table_op(), 1..40),
+        gamma in prop_oneof![Just(0u32), Just(4u32), Just(16u32)],
+    ) {
+        let mut table = LeaFtlTable::new(LeaFtlConfig::default().with_gamma(gamma));
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut ppa_base = 0u64;
+        for op in ops.iter().chain(std::iter::once(&TableOp::Compact)) {
+            match op {
+                TableOp::Learn(batch, group) => {
+                    let pairs = place(batch, *group, &mut ppa_base);
+                    for &(lpa, ppa) in &pairs {
+                        model.insert(lpa.raw(), ppa.raw());
+                    }
+                    let mut shuffled: Vec<(Lpa, Ppa)> = pairs.iter().rev().copied().collect();
+                    // A stale copy of the first pair, ahead of the live one.
+                    shuffled.insert(0, (pairs[0].0, Ppa::new(pairs[0].1.raw() + 1_000_000)));
+                    table.learn(&shuffled);
+                }
+                TableOp::LearnSorted(batch, group) => {
+                    let pairs = place(batch, *group, &mut ppa_base);
+                    for &(lpa, ppa) in &pairs {
+                        model.insert(lpa.raw(), ppa.raw());
+                    }
+                    table.learn_sorted(&pairs);
+                }
+                TableOp::Compact => {
+                    table.compact();
+                    check_swept(&table, &model)?;
+                }
+            }
+        }
     }
 }
